@@ -19,9 +19,6 @@
 //   SPLICER_BENCH_NO_RETAIN=1     evict resolved payment states (the
 //                                 retention contract; metrics unchanged,
 //                                 peak_resident_states stays bounded)
-//   SPLICER_FULL_RECOMPUTE=1      force the legacy full rate-control tick
-//                                 (parity gate for the incremental tick;
-//                                 outputs byte-identical, only slower)
 
 #include <cstdlib>
 #include <cstring>
@@ -90,16 +87,6 @@ inline bool retain_resolved(int argc, char** argv) {
   }
   const char* v = std::getenv("SPLICER_BENCH_NO_RETAIN");
   return v == nullptr || v[0] != '1';
-}
-
-/// Incremental-tick parity knob: SPLICER_FULL_RECOMPUTE=1 forces rate
-/// routers into the legacy full per-tick sweep
-/// (EngineConfig::full_recompute_ticks). CI diffs a forced-full fig7 run
-/// against the default incremental run byte for byte; results are
-/// identical either way, only wall time differs.
-inline bool full_recompute_mode() {
-  const char* v = std::getenv("SPLICER_FULL_RECOMPUTE");
-  return v != nullptr && v[0] == '1';
 }
 
 /// Scales a payment count down in fast mode.

@@ -121,8 +121,7 @@ void write_json(const std::string& path, const std::string& workload,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     // The three tick-work counters record how much per-tick rate-control
-    // work the incremental mode skipped (all zero for non-rate schemes and
-    // under SPLICER_FULL_RECOMPUTE=1).
+    // work the incremental tick skipped (all zero for non-rate schemes).
     std::snprintf(buf, sizeof(buf),
                   "    {\"scheme\": \"%s\", \"wall_s\": %.6f, "
                   "\"scheduler_events\": %llu, \"events_per_sec\": %.0f, "
@@ -205,7 +204,6 @@ int main(int argc, char** argv) {
 
   routing::SchemeConfig scheme_config;
   scheme_config.engine.settlement_epoch_s = epoch_s;
-  scheme_config.engine.full_recompute_ticks = bench::full_recompute_mode();
 
   // All six schemes, not just the figure-comparison five: the hot path must
   // stay fast for every router's event mix (ShortestPath = atomic HTLCs).

@@ -42,7 +42,6 @@ inline void run_figure(const std::string& figure, routing::ScenarioConfig base,
   routing::SchemeConfig base_scheme_config;
   base_scheme_config.engine.settlement_epoch_s = settlement_epoch_s;
   base_scheme_config.engine.retain_resolved = retain_resolved;
-  base_scheme_config.engine.full_recompute_ticks = full_recompute_mode();
 
   const auto scheme_header = [&] {
     std::vector<std::string> header{"sweep"};

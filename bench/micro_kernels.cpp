@@ -131,16 +131,12 @@ BENCHMARK(BM_ShamirSplitReconstruct);
 /// dirty-channel fraction, via the public run_protocol_tick hook. A short
 /// warm-up simulation seeds real pair/path/price state; each iteration
 /// then feeds crafted TU arrivals into `dirty_pct` percent of the channels
-/// (round-robin, deterministic) and runs one tick. Args: {dirty_pct,
-/// full_recompute} — comparing full_recompute 0 vs 1 at the same fraction
-/// is the incremental tick's speedup; the fraction sweep shows how it
-/// narrows as more of the network goes dirty per tick, and inverts at
-/// 100% (every flat changing every tick pays the change-tracking writes
-/// and subscription checks with nothing left to skip — the regime the
-/// full_recompute knob exists for).
+/// (round-robin, deterministic) and runs one tick. Arg: dirty_pct — the
+/// sweep shows how the per-tick cost grows as more of the network goes
+/// dirty per tick (at 100% every flat changes every tick and nothing is
+/// left to skip).
 void BM_RateTick(benchmark::State& state) {
   const auto dirty_pct = static_cast<std::size_t>(state.range(0));
-  const bool full_recompute = state.range(1) != 0;
   auto g = make_graph(600);
   auto network =
       pcn::Network::with_uniform_funds(std::move(g), common::whole_tokens(400));
@@ -171,10 +167,7 @@ void BM_RateTick(benchmark::State& state) {
   }
 
   routing::SpiderRouter router;
-  routing::EngineConfig config;
-  config.full_recompute_ticks = full_recompute;
-  routing::Engine engine(std::move(network), std::move(payments), router,
-                         config);
+  routing::Engine engine(std::move(network), std::move(payments), router);
   engine.begin_run();
   (void)engine.run_window(8.0);
 
@@ -199,13 +192,7 @@ void BM_RateTick(benchmark::State& state) {
   state.counters["probe_sums_reused"] =
       static_cast<double>(engine.metrics().probe_sums_reused);
 }
-BENCHMARK(BM_RateTick)
-    ->Args({0, 0})
-    ->Args({0, 1})
-    ->Args({10, 0})
-    ->Args({10, 1})
-    ->Args({100, 0})
-    ->Args({100, 1});
+BENCHMARK(BM_RateTick)->Arg(0)->Arg(10)->Arg(100);
 
 void BM_SplicerSimulation(benchmark::State& state) {
   routing::ScenarioConfig config;

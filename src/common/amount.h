@@ -24,6 +24,13 @@ inline constexpr Amount kMilliPerToken = 1000;
   return static_cast<Amount>(scaled >= 0 ? scaled + 0.5 : scaled - 0.5);
 }
 
+/// Whether tokens(t) is defined: t is finite and, scaled and rounded,
+/// within Amount's range (the integer conversion is undefined otherwise).
+[[nodiscard]] constexpr bool representable_tokens(double t) noexcept {
+  const double scaled = t * static_cast<double>(kMilliPerToken);
+  return scaled + 0.5 < 0x1p63 && scaled - 0.5 > -0x1p63;
+}
+
 [[nodiscard]] constexpr Amount whole_tokens(std::int64_t t) noexcept {
   return t * kMilliPerToken;
 }

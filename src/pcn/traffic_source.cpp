@@ -272,6 +272,7 @@ bool TraceSource::parse_line(const std::string& line, Row& row) const {
   const std::string time_field = line.substr(0, c1);
   row.time = std::strtod(time_field.c_str(), &end);
   if (end == time_field.c_str() || *end != '\0') return false;  // header row
+  if (!std::isfinite(row.time)) return false;
   row.sender = line.substr(c1 + 1, c2 - c1 - 1);
   row.receiver = line.substr(c2 + 1, c3 - c2 - 1);
   if (row.sender.empty() || row.receiver.empty()) return false;
@@ -281,7 +282,10 @@ bool TraceSource::parse_line(const std::string& line, Row& row) const {
   if (end == amount_field.c_str() || (*end != '\0' && *end != '\r')) {
     return false;
   }
-  return row.amount > 0.0;
+  // NaN fails both tests; an amount too large for Amount once scaled
+  // would make the milli-token conversion in next() undefined.
+  return row.amount > 0.0 &&
+         common::representable_tokens(row.amount * config_.value_scale);
 }
 
 std::optional<NodeId> TraceSource::map_endpoint(const std::string& label) {

@@ -198,7 +198,7 @@ void Engine::handle_event(const sim::EngineEvent& event) {
       break;
     }
     case Kind::kNone:
-      throw std::logic_error("Engine: untyped event reached the sink");
+      throw std::logic_error("Engine: unset event reached the sink");
   }
 }
 

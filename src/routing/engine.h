@@ -67,15 +67,6 @@ struct EngineConfig {
   /// are identical in both modes; only memory (peak_resident_states) and
   /// the states_evicted counter differ.
   bool retain_resolved = true;
-  /// Debug/parity knob for the incremental rate-control tick. false
-  /// (default) lets rate routers skip provably-identity per-tick work
-  /// (dirty-channel price updates, memoized probe sums, sleeping pairs) —
-  /// bit-identical results, less wall time. true forces the legacy full
-  /// sweep over every channel and pair each tick; CI diffs the two modes'
-  /// outputs byte for byte. Benches honour SPLICER_FULL_RECOMPUTE=1 by
-  /// setting this (the env read lives in the bench layer — ambient state
-  /// never reaches src/).
-  bool full_recompute_ticks = false;
   /// Hostile-world scenario pack: fault injection, channel churn, per-edge
   /// fee/timelock policies (see pcn/scenario_mutator.h). All rates default
   /// to 0, in which case no mutator is built, no mutation event is ever
@@ -357,9 +348,8 @@ class Engine : private sim::EventSink {
   }
 
   /// Arms a router timer `delay` seconds from now: fires back through
-  /// Router::on_timer with (a, b) verbatim. A typed pooled event — use this
-  /// instead of scheduler().after(...) for per-TU-frequency timers, where a
-  /// captured lambda would heap-allocate.
+  /// Router::on_timer with (a, b) verbatim. A typed pooled event, so
+  /// per-TU-frequency timers (pacing drips) cost no allocation.
   sim::Scheduler::EventId schedule_timer(double delay, std::uint64_t a,
                                          std::uint64_t b = 0) {
     return scheduler_.after(

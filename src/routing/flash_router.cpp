@@ -121,6 +121,11 @@ void FlashRouter::send_elephant(Engine& engine, const pcn::Payment& payment,
   }
   if (assigned < value) shares[widest] += value - assigned;
 
+  // A split can fail synchronously inside send_tu and resolve the payment,
+  // and on_payment_resolved then erases its progress entry: re-find the
+  // entry after every send. The remaining splits still go out (the engine
+  // accepts TUs of resolved payments), they are just no longer counted.
+  PaymentProgress* live = &progress;
   for (std::size_t i = 0; i < flow.paths.size(); ++i) {
     if (shares[i] <= 0) continue;
     TransactionUnit tu;
@@ -129,8 +134,10 @@ void FlashRouter::send_elephant(Engine& engine, const pcn::Payment& payment,
     tu.path = flow.paths[i].path;
     tu.hop_amounts.assign(tu.path.edges.size(), shares[i]);
     tu.deadline = payment.deadline;
-    ++progress.outstanding;
+    if (live != nullptr) ++live->outstanding;
     engine.send_tu(std::move(tu));
+    const auto it = progress_.find(payment.id);
+    live = it == progress_.end() ? nullptr : &it->second;
   }
 }
 

@@ -14,10 +14,7 @@ void RateRouterBase::on_start(Engine& engine) {
   // direction, so the flat mirror starts at zero too.
   price_flat_.assign(2 * channels, 0.0);
 
-  // Incremental-tick state. The default mode skips provably-identity
-  // per-tick work; full_recompute_ticks forces the legacy full sweeps so
-  // CI can diff the two modes' outputs byte for byte.
-  full_recompute_ = engine.config().full_recompute_ticks;
+  // Incremental-tick state: each tick skips provably-identity work.
   tick_ = 0;
   flat_tick_.assign(2 * channels, 0);
   channel_active_.assign(channels, 0);
@@ -25,29 +22,18 @@ void RateRouterBase::on_start(Engine& engine) {
   sleep_subs_.assign(2 * channels, {});
   wake_heap_.clear();
   active_pairs_.clear();
-  if (!full_recompute_) {
-    engine.enable_dirty_channel_tracking();
-    // A reused router may carry pairs from a previous run: every pair
-    // starts the run awake (the ordered map yields the sorted list).
-    for (auto& [key, state] : pairs_) {
-      state.key = key;
-      state.awake = true;
-      state.sleep_epoch = 0;
-      state.subs_epoch = ~std::uint64_t{0};
-      active_pairs_.push_back(&state);
-    }
+  engine.enable_dirty_channel_tracking();
+  // A reused router may carry pairs from a previous run: every pair
+  // starts the run awake (the ordered map yields the sorted list).
+  for (auto& [key, state] : pairs_) {
+    state.key = key;
+    state.awake = true;
+    state.sleep_epoch = 0;
+    state.subs_epoch = ~std::uint64_t{0};
+    active_pairs_.push_back(&state);
   }
 
-  // workload_horizon() is queried per tick: for streaming sources it grows
-  // as payments are pulled, so price updates keep running until the tail
-  // payments' deadlines have passed (replay sources report it exactly from
-  // the start, matching the old materialised-vector scan).
-  engine.scheduler().every(config_.tau_s, [this, &engine] {
-    if (engine.past_horizon()) return false;
-    run_protocol_tick(engine);
-    on_tick(engine);
-    return true;
-  });
+  engine.schedule_timer(config_.tau_s, 0, kPriceTickTimer);
 }
 
 void RateRouterBase::run_protocol_tick(Engine& engine) {
@@ -67,6 +53,17 @@ void RateRouterBase::on_payment(Engine& engine, const pcn::Payment& payment) {
 }
 
 void RateRouterBase::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
+  if (b == kPriceTickTimer) {
+    // workload_horizon() is queried per tick: for streaming sources it
+    // grows as payments are pulled, so price updates keep running until
+    // the tail payments' deadlines have passed (replay sources report it
+    // exactly from the start). The re-arm follows the tick body, so drips
+    // the probes schedule fire ahead of a same-instant next tick.
+    if (engine.past_horizon()) return;
+    run_protocol_tick(engine);
+    engine.schedule_timer(config_.tau_s, 0, kPriceTickTimer);
+    return;
+  }
   if (b == kAdmitTimer) {
     // Checked lookup: the decision delay can outlive the payment, and a
     // resolved state may already be evicted (streaming retention contract).
@@ -144,13 +141,11 @@ RateRouterBase::PairState* RateRouterBase::ensure_pair(Engine& engine,
   if (state.paths.empty()) return nullptr;
   PairState* stored = &pairs_.emplace(pair, std::move(state)).first->second;
   pair_index_.emplace(pack_pair(pair), stored);
-  if (!full_recompute_) {
-    // New pairs are born awake; keep the active list sorted by key.
-    const auto pos = std::lower_bound(
-        active_pairs_.begin(), active_pairs_.end(), pair,
-        [](const PairState* p, const PairKey& key) { return p->key < key; });
-    active_pairs_.insert(pos, stored);
-  }
+  // New pairs are born awake; keep the active list sorted by key.
+  const auto pos = std::lower_bound(
+      active_pairs_.begin(), active_pairs_.end(), pair,
+      [](const PairState* p, const PairKey& key) { return p->key < key; });
+  active_pairs_.insert(pos, stored);
   return stored;
 }
 
@@ -173,19 +168,12 @@ void RateRouterBase::update_prices(Engine& engine) {
   for (const ChannelId c : engine.dirty_channels()) activate_channel(c);
   engine.clear_dirty_channels();
 
-  if (full_recompute_) {
-    // Legacy sweep: eqs. (21)-(22) applied to every channel every tau.
-    for (ChannelId c = 0; c < network.channel_count(); ++c) {
-      (void)update_channel_price(engine, c);
-    }
-    return;
-  }
-  // Incremental sweep: only channels whose update can differ from the
-  // identity — ever-touched channels still carrying price state plus this
-  // window's dirty feed. Visit order does not matter (per-channel updates
-  // are independent) but is deterministic anyway: first-activation order
-  // is a function of the event stream. Channels whose post-update state is
-  // exactly zero retire until re-activated.
+  // Only channels whose update can differ from the identity: ever-touched
+  // channels still carrying price state plus this window's dirty feed.
+  // Visit order does not matter (per-channel updates are independent) but
+  // is deterministic anyway: first-activation order is a function of the
+  // event stream. Channels whose post-update state is exactly zero retire
+  // until re-activated.
   const std::size_t visited = active_channels_.size();
   std::size_t kept = 0;
   for (std::size_t i = 0; i < visited; ++i) {
@@ -247,7 +235,6 @@ bool RateRouterBase::update_channel_price(Engine& engine, ChannelId c) {
         channel_price(c, static_cast<pcn::Direction>(dir));
     if (new_flat == old_flat) continue;
     price_flat_[idx] = new_flat;
-    if (full_recompute_) continue;
     flat_tick_[idx] = tick_;
     auto& subs = sleep_subs_[idx];
     if (subs.empty()) continue;
@@ -297,10 +284,6 @@ double RateRouterBase::fee_rate(ChannelId channel, pcn::Direction d) const {
 }
 
 void RateRouterBase::probe_pairs(Engine& engine) {
-  if (full_recompute_) {
-    for (auto& [pair, state] : pairs_) probe_one_pair(engine, pair, state);
-    return;
-  }
   // Decay wake-ups due this tick. Each is re-validated against the fresh
   // flat prices: a pair whose probe is still a provable identity re-arms
   // under the same epoch (its subscriptions stay valid), the rest join
@@ -350,10 +333,9 @@ void RateRouterBase::probe_one_pair(Engine& engine, const PairKey& pair,
   for (const auto& path : state.paths) active = active || path.outstanding > 0;
   const double total_rate = std::max(total_pair_rate(state), 1e-9);
   // Sleep candidate: an inactive pair whose every path's rate update is an
-  // identity pinned at a clamp bound (incremental mode only). Interior
-  // fixed points don't qualify — nothing guarantees the next tick is also
-  // an identity.
-  bool sleepable = !full_recompute_ && !active;
+  // identity pinned at a clamp bound. Interior fixed points don't qualify
+  // — nothing guarantees the next tick is also an identity.
+  bool sleepable = !active;
   bool has_min_pinned = false;
   double min_pinned_price = 0.0;
   for (auto& path : state.paths) {
@@ -363,8 +345,7 @@ void RateRouterBase::probe_one_pair(Engine& engine, const PairKey& pair,
     // bitwise since the cached sum was taken, re-summing would return
     // the identical double, so the cache is reused outright.
     double price;
-    bool reuse =
-        !full_recompute_ && path.price_tick != 0 && !path.hop_index.empty();
+    bool reuse = path.price_tick != 0 && !path.hop_index.empty();
     // Hint first: a path through a hot channel keeps failing on the same
     // hop, so the common "changed" case costs one load instead of a scan.
     if (reuse && flat_tick_[path.hop_index[path.memo_hint]] > path.price_tick) {
@@ -541,7 +522,7 @@ std::vector<RateRouterBase::PathDiagnostics> RateRouterBase::pair_diagnostics(
     for (const std::uint32_t idx : path.hop_index) price += price_flat_[idx];
     price *= (1.0 + config_.t_fee);
     out.push_back(PathDiagnostics{path.rate_tps, path.window, price,
-                                  path.outstanding, path.full_path.edges.size()});
+                                  path.outstanding, path.hop_index});
   }
   return out;
 }

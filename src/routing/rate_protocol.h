@@ -85,6 +85,18 @@ class RateRouterBase : public Router {
   void on_tu_forwarded(Engine& engine, const TransactionUnit& tu,
                        ChannelId channel, pcn::Direction direction) override;
   void on_payment_resolved(Engine& engine, PaymentId payment) override;
+  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override;
+
+  // Typed timer dispatch (Engine::schedule_timer): drip timers pack the
+  // pair endpoints into `a` and the path index into `b`. The reserved `b`
+  // tags below name every other timer; path counts are tiny (k paths per
+  // pair), so a tag can never collide with a path index.
+  /// Deferred admit: `a` = payment id.
+  static constexpr std::uint64_t kAdmitTimer = ~std::uint64_t{0};
+  /// The recurring price/probe tick, every tau (eqs. 21-26).
+  static constexpr std::uint64_t kPriceTickTimer = kAdmitTimer - 1;
+  /// Splicer's hub-to-hub epoch synchronisation (Fig. 5, step 1).
+  static constexpr std::uint64_t kEpochSyncTimer = kAdmitTimer - 2;
 
   [[nodiscard]] const RateProtocolConfig& protocol_config() const noexcept {
     return config_;
@@ -108,15 +120,16 @@ class RateRouterBase : public Router {
     double window = 0.0;
     double price = 0.0;
     std::size_t outstanding = 0;
-    std::size_t hops = 0;
+    /// Directed channel (2 * channel + direction) of every hop, in order.
+    std::vector<std::uint32_t> hop_index;
   };
   [[nodiscard]] std::vector<PathDiagnostics> pair_diagnostics(NodeId from,
                                                               NodeId to) const;
 
   /// One price-update + probe round, exactly as the recurring tau timer
-  /// runs it (minus the subclass on_tick hook). Public for the rate-tick
-  /// microbenchmark, which drives ticks directly at controlled
-  /// dirty-channel fractions; simulations never call this.
+  /// runs it. Public for the rate-tick microbenchmark, which drives ticks
+  /// directly at controlled dirty-channel fractions; simulations never
+  /// call this.
   void run_protocol_tick(Engine& engine);
 
  protected:
@@ -151,11 +164,6 @@ class RateRouterBase : public Router {
   /// topology with the configured path type.
   [[nodiscard]] virtual std::vector<graph::Path> compute_pair_paths(
       Engine& engine, const PairKey& pair) const;
-
-  /// Called once per protocol tick (every tau) after prices update;
-  /// subclasses may add bookkeeping (e.g., Splicer's epoch sync counting
-  /// happens on its own timer).
-  virtual void on_tick(Engine& engine) { (void)engine; }
 
   /// Source-side admission (paper Alg. 2 line 10, F_ab < |d_i|): whether a
   /// TU with these hop amounts may be dispatched now. Splicer's smooth
@@ -222,11 +230,10 @@ class RateRouterBase : public Router {
     /// Own key, mirrored from the pairs_ map so the active list can sort
     /// and the wake machinery can name the pair without a reverse lookup.
     PairKey key{};
-    /// Active-pair scheduling (incremental mode only; full-recompute
-    /// sweeps the whole map and never touches these). A pair sleeps when
-    /// its per-tick probe is a provable identity: no demands, nothing
-    /// outstanding, and every path's rate pinned at a clamp bound with a
-    /// price that keeps it pinned. It wakes on new demand, on a TU retry,
+    /// Active-pair scheduling. A pair sleeps when its per-tick probe is a
+    /// provable identity: no demands, nothing outstanding, and every
+    /// path's rate pinned at a clamp bound with a price that keeps it
+    /// pinned. It wakes on new demand, on a TU retry,
     /// on any non-decay price change of an incident channel (sleep_subs_),
     /// or at a conservatively precomputed decay tick (wake_heap_).
     bool awake = true;
@@ -255,11 +262,6 @@ class RateRouterBase : public Router {
     std::uint64_t resleep_delay = kResleepDelayTicks;
   };
 
-  // Typed timer dispatch (Engine::schedule_timer): drip timers pack the
-  // pair endpoints into `a` and the path index into `b`; deferred admits
-  // pack the payment id into `a` and this sentinel into `b`. Path counts
-  // are tiny (k paths per pair), so the sentinel can never collide.
-  static constexpr std::uint64_t kAdmitTimer = ~std::uint64_t{0};
   [[nodiscard]] static constexpr std::uint64_t pack_pair(PairKey pair) noexcept {
     return (static_cast<std::uint64_t>(pair.from) << 32) | pair.to;
   }
@@ -267,15 +269,13 @@ class RateRouterBase : public Router {
     return PairKey{static_cast<NodeId>(a >> 32),
                    static_cast<NodeId>(a & 0xffffffffu)};
   }
-  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override;
-
   void admit_demand(Engine& engine, const pcn::Payment& payment);
   PairState* ensure_pair(Engine& engine, const PairKey& pair);
   void update_prices(Engine& engine);
   void probe_pairs(Engine& engine);
 
-  // ---- Incremental tick machinery (bit-identical to the full sweep) ----
-  /// Applies eqs. (21)-(22) to one channel (the full sweep's loop body).
+  // ---- Incremental tick machinery (bit-identical to a full sweep) ------
+  /// Applies eqs. (21)-(22) to one channel.
   /// Returns whether the channel still carries price state (any of
   /// lambda/mu nonzero) — an all-zero channel's next update is an exact
   /// identity (required == 0, urgency == 0, clamps pin at 0.0, flats stay
@@ -284,15 +284,15 @@ class RateRouterBase : public Router {
   bool update_channel_price(Engine& engine, ChannelId c);
   /// Adds a channel to the incremental update set (idempotent).
   void activate_channel(ChannelId c) {
-    if (full_recompute_ || channel_active_[c] != 0) return;
+    if (channel_active_[c] != 0) return;
     channel_active_[c] = 1;
     active_channels_.push_back(c);
   }
   /// Re-inserts a sleeping pair into the probe sweep (idempotent). Bumps
   /// sleep_epoch, invalidating its subscriptions and wake-heap entries.
   void wake_pair(PairState& state);
-  /// Probes one pair (the full sweep's loop body) and, in incremental
-  /// mode, evaluates the sleep condition afterwards.
+  /// Probes one pair (eqs. 25-26) and evaluates the sleep condition
+  /// afterwards.
   void probe_one_pair(Engine& engine, const PairKey& pair, PairState& state);
   /// Decay re-check for a heap-woken pair: true iff this tick's probe is
   /// still an identity (prices haven't decayed past any clamp threshold),
@@ -341,9 +341,7 @@ class RateRouterBase : public Router {
   /// reads, bit-identical to recomputing the price per visit.
   std::vector<double> price_flat_;
 
-  // ---- Incremental tick state (inert when full_recompute_) -------------
-  /// Mirror of EngineConfig::full_recompute_ticks, latched at on_start.
-  bool full_recompute_ = false;
+  // ---- Incremental tick state -------------------------------------------
   /// Protocol tick counter (first tick = 1; 0 is the "never" sentinel for
   /// price_tick/flat_tick_).
   std::uint64_t tick_ = 0;

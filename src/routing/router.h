@@ -134,10 +134,10 @@ class Router {
   }
 
   /// A timer armed through Engine::schedule_timer fired. `a` and `b` carry
-  /// whatever the router packed when arming — the typed hot-path
-  /// alternative to capturing lambdas for per-TU timers (pacing drips,
-  /// deferred admits): a POD event in the scheduler pool instead of a
-  /// heap-allocated closure.
+  /// whatever the router packed when arming. Timers are how a router
+  /// schedules any work of its own, from per-TU pacing drips and deferred
+  /// admits to recurring ticks: a POD event in the scheduler pool, so
+  /// arming one never allocates.
   virtual void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) {
     (void)engine;
     (void)a;

@@ -3,12 +3,12 @@
 // Typed hot-path event payload for the discrete-event scheduler.
 //
 // The simulation engine schedules millions of events per run; carrying each
-// one as a std::function closure costs a heap allocation and an indirect
+// one as a type-erased closure costs a heap allocation and an indirect
 // call per event. An EngineEvent is instead a tag plus a few POD fields,
 // stored inline in the scheduler's event pool and dispatched through a
 // single EventSink virtual call — no allocation anywhere on the hot path.
-// std::function callbacks remain available as a fallback variant for
-// low-frequency work (recurring router ticks, tests, tools).
+// It is the scheduler's only event representation: recurring router ticks
+// are kRouterTimer events like any other router timer.
 
 #include <cstdint>
 
@@ -16,7 +16,7 @@ namespace splicer::sim {
 
 struct EngineEvent {
   enum class Kind : std::uint8_t {
-    kNone = 0,       // unset — the event carries a fallback callback instead
+    kNone = 0,       // unset — the scheduler rejects it
     kArrival,        // pull the staged payment into the engine
     kDeadline,       // payment deadline fired: a = PaymentId
     kAttemptHop,     // (re)try a TU's current hop: a = TuId

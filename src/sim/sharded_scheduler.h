@@ -43,7 +43,7 @@ namespace splicer::sim {
 
 class ShardedScheduler {
  public:
-  /// Callbacks the drive loop needs from the owner of the shards (the
+  /// Hooks the drive loop needs from the owner of the shards (the
   /// sharded engine, or a test harness). run_shard() is invoked
   /// concurrently for distinct shards; everything else runs on the
   /// coordinator thread while the workers are parked.

@@ -32,8 +32,9 @@ namespace splicer::sim {
 class ThreadPool {
  public:
   /// Task type: move-only with small-buffer storage, so a submission whose
-  /// captures fit the inline buffer costs no allocation (std::function
-  /// heap-allocates anything past 16 bytes and forbids move-only captures).
+  /// captures fit the inline buffer costs no allocation (the standard
+  /// type-erased wrapper heap-allocates anything past 16 bytes and forbids
+  /// move-only captures).
   using Task = common::SmallFunction<void()>;
 
   /// Spawns `threads` workers; 0 means one per hardware thread.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+
 #include "graph/generators.h"
 
 namespace splicer::routing {
@@ -25,9 +28,13 @@ class ScriptedRouter : public Router {
   void on_tu_failed(Engine&, const TransactionUnit& tu, FailReason reason) override {
     failed.emplace_back(tu, reason);
   }
+  void on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) override {
+    if (timer_script) timer_script(engine, a, b);
+  }
 
   std::vector<TransactionUnit> delivered;
   std::vector<std::pair<TransactionUnit, FailReason>> failed;
+  std::function<void(Engine&, std::uint64_t, std::uint64_t)> timer_script;
 
  private:
   Script script_;
@@ -148,13 +155,13 @@ TEST(Engine, QueueModeHoldsThenDelivers) {
 
   ScriptedRouter router([&](Engine& engine, const pcn::Payment& p) {
     engine.send_tu(two_hop_tu(engine.network(), p.id, p.value));
-    engine.scheduler().after(0.1, [&engine] {
-      auto& blocked =
-          engine.network().channel(engine.network().topology().find_edge(1, 2));
-      blocked.refund(blocked.direction_from(1), whole_tokens(10));
-      // Nudge the queue (normally settles/refunds inside the engine do it).
-    });
+    engine.schedule_timer(0.1, 0);
   });
+  router.timer_script = [](Engine& engine, std::uint64_t, std::uint64_t) {
+    auto& blocked =
+        engine.network().channel(engine.network().topology().find_edge(1, 2));
+    blocked.refund(blocked.direction_from(1), whole_tokens(10));
+  };
   EngineConfig config;
   config.queues_enabled = true;
   config.queue_delay_threshold_s = 5.0;  // do not mark in this test

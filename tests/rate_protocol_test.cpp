@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "graph/generators.h"
 #include "routing/splicer_router.h"
 
@@ -175,12 +178,22 @@ TEST(RateProtocol, EpochSyncCounted) {
   SplicerRouter::Config rc = hub_config();
   rc.epoch_s = 1.0;
   SplicerRouter router({1, 1, 2, 2}, {1, 2}, rc);
-  EngineConfig config;
-  Engine engine(hub_pair_network(), stream(0, 3, whole_tokens(5), 2.0, 6.0),
-                router, config);
+  const auto payments = stream(0, 3, whole_tokens(5), 2.0, 6.0);
+  double horizon = 0.0;
+  for (const auto& p : payments) horizon = std::max(horizon, p.deadline);
+  Engine engine(hub_pair_network(), payments, router, EngineConfig{});
   const auto m = engine.run();
-  // 2 hubs -> 2 sync messages per epoch over ~9 seconds of simulation.
-  EXPECT_GE(m.messages.sync_messages, 10u);
+  // The epoch timer fires at epoch_s, 2 epoch_s, ... (the same repeated
+  // addition the scheduler performs) and stops re-arming once the clock
+  // passes the workload horizon plus the grace period.
+  std::uint64_t ticks = 0;
+  for (double t = rc.epoch_s; t <= horizon + Engine::kHorizonGraceS;
+       t += rc.epoch_s) {
+    ++ticks;
+  }
+  // z = 2 hubs exchange z (z - 1) = 2 sync messages per epoch tick.
+  EXPECT_EQ(ticks, 9u);
+  EXPECT_EQ(m.messages.sync_messages, 2u * ticks);
 }
 
 TEST(RateProtocol, SourceGatingPreventsWastedLocks) {

@@ -8,6 +8,7 @@
 
 #include "common/log.h"
 #include "routing/experiment.h"
+#include "routing/flash_router.h"
 #include "routing/sharded_engine.h"
 
 namespace splicer::routing {
@@ -218,6 +219,53 @@ TEST(DeadlockUnderChurn, ChurnFailuresCarryTheChannelClosedReason) {
     EXPECT_EQ(reason(FailReason::kNodeOffline), 0u) << to_string(scheme);
   }
   EXPECT_GT(closed_failures, 0u);
+}
+
+TEST(FlashElephant, SplitFailureThatResolvesThePaymentMidDispatch) {
+  // Regression: a Flash elephant whose first split fails inside
+  // Engine::send_tu, with no retry left, resolves its payment before the
+  // split loop has dispatched the rest. Under batched settlement the
+  // resolution also erases the router's per-payment entry on the spot, so
+  // the loop must not touch that entry again (ASan builds reported a
+  // heap-use-after-free here).
+  using common::whole_tokens;
+  // Sender 0, receiver 3, two disjoint two-hop paths 0-1-3 and 0-2-3.
+  graph::Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(1, 3);
+  g.add_edge(0, 2);
+  g.add_edge(2, 3);
+  auto network =
+      pcn::Network::with_uniform_funds(std::move(g), whole_tokens(60));
+  // Two elephants inside one probe-staleness window: the second plans on
+  // the balance snapshot taken for the first, so its splits find the
+  // sender's side of their first hops already spent.
+  std::vector<pcn::Payment> payments;
+  for (const double arrival : {0.10, 0.15}) {
+    pcn::Payment p;
+    p.id = payments.size() + 1;
+    p.sender = 0;
+    p.receiver = 3;
+    p.value = whole_tokens(100);
+    p.arrival_time = arrival;
+    p.deadline = arrival + 3.0;
+    payments.push_back(p);
+  }
+  FlashRouter::Config rc;
+  rc.elephant_retries = 0;
+  FlashRouter router(rc);
+  EngineConfig config;
+  config.queues_enabled = false;
+  config.settlement_epoch_s = 0.01;
+  Engine engine(std::move(network), std::move(payments), router, config);
+  const auto m = engine.run();
+  EXPECT_EQ(m.payments_completed, 1u);
+  EXPECT_EQ(m.payments_failed, 1u);
+  EXPECT_GT(m.tu_fail_reasons[static_cast<std::size_t>(
+                FailReason::kInsufficientFunds)],
+            0u);
+  EXPECT_EQ(router.tracked_payments(), 0u);
+  EXPECT_EQ(m.resident_tus_at_end, 0u);
 }
 
 TEST(LogFacility, LevelsFilter) {

@@ -330,14 +330,25 @@ TEST(TraceSource, MalformedRowsAreSkippedNotFatal) {
       "1.0,a,b\n"
       "2.0,a,b,-4\n"
       "3.0,a,b,5,extra\n"
+      "nan,a,b,5\n"
+      "inf,a,b,5\n"
+      "3.1,a,b,nan\n"
+      "3.2,a,b,inf\n"
+      "3.3,a,b,1e300\n"
+      "3.4,a,b,9.3e15\n"  // finite, but overflows Amount in milli-tokens
       "4.0,b,a,5\n");
   WorkloadConfig config;
   config.kind = WorkloadKind::kTrace;
   config.trace_file = trace.path();
   TraceSource source(trace.path(), make_clients(4), config);
   EXPECT_EQ(source.estimated_count(), 2u);
-  EXPECT_EQ(drain(source).size(), 2u);
-  EXPECT_EQ(source.rows_skipped(), 4u);
+  const auto payments = drain(source);
+  ASSERT_EQ(payments.size(), 2u);
+  for (const auto& p : payments) {
+    EXPECT_TRUE(std::isfinite(p.arrival_time));
+    EXPECT_EQ(p.value, common::whole_tokens(5));
+  }
+  EXPECT_EQ(source.rows_skipped(), 10u);
 }
 
 // ---- Factory / VectorSource ----------------------------------------------

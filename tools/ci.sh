@@ -11,7 +11,10 @@
 #      also be byte-identical to the frozen pre-refactor baseline in
 #      tests/data/fig7_baseline (pins SyntheticSource + streaming engine +
 #      the typed pooled-event scheduler: epoch-0 event streams must never
-#      drift across refactors)
+#      drift across refactors). The baseline was frozen before the rate
+#      tick became incremental, so it is also the full-sweep tick's output;
+#      rate_incremental_test checks the same tick by tick against a
+#      full-sweep oracle.
 #   2. default threads, epoch 0 -> must be byte-identical to the baseline
 #      (parallel runner AND the epoch-0 engine path change nothing)
 #   3. epoch 10 ms            -> batched mode completes with the engine's
@@ -25,7 +28,10 @@
 # example trace through splicer_cli, plus streaming bursty/hotspot runs and
 # a streaming --no-retain run (the retention contract), and an ASan+UBSan
 # build of the smoke-label ctest subset so eviction-order bugs surface as
-# hard errors instead of flakes.
+# hard errors instead of flakes. The repo benchmark (perfbench/) is built
+# with the same sanitizers and runs its hostile workload traced, which
+# drives every scheme through mutations, batched settlement and the
+# tracing decorators.
 #
 # A SPLICER_AUDIT=ON build then runs the smoke-label suites with the
 # dynamic contract witnesses compiled in (scheduler heap-order invariant,
@@ -116,18 +122,6 @@ SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/epoch0" \
   "$BUILD_DIR/bench_fig7_small_scale" --settlement-epoch 0 > "$SMOKE_DIR/epoch0.txt"
 diff -r "$SMOKE_DIR/baseline" "$SMOKE_DIR/epoch0"
 
-echo "CI: fig7 smoke, forced full-recompute ticks (must match incremental)"
-# The default run above used the incremental rate-control tick
-# (dirty-channel price updates, memoized probe sums, sleeping pairs);
-# SPLICER_FULL_RECOMPUTE=1 forces the legacy full per-tick sweep. The two
-# modes must produce byte-identical CSVs — the incremental tick is a pure
-# wall-time optimisation.
-mkdir -p "$SMOKE_DIR/fullticks"
-SPLICER_BENCH_FAST=1 SPLICER_BENCH_CSV="$SMOKE_DIR/fullticks" \
-  SPLICER_FULL_RECOMPUTE=1 \
-  "$BUILD_DIR/bench_fig7_small_scale" --threads 1 > "$SMOKE_DIR/fullticks.txt"
-diff -r "$SMOKE_DIR/baseline" "$SMOKE_DIR/fullticks"
-
 echo "CI: fig7 smoke, batched settlement (epoch 10 ms)"
 SPLICER_BENCH_FAST=1 \
   "$BUILD_DIR/bench_fig7_small_scale" --settlement-epoch 10 > "$SMOKE_DIR/epoch10.txt"
@@ -205,6 +199,16 @@ ctest --test-dir "$SAN_DIR" -L smoke --output-on-failure -j "$JOBS"
 # read through a resolved LiveTu surfaces here as a hard error.
 ctest --test-dir "$SAN_DIR" --output-on-failure -j "$JOBS" \
   -R 'scenario_mutator_test|robustness_test'
+
+echo "CI: ASan+UBSan repo benchmark (hostile workload, traced)"
+PERFBENCH_SAN_DIR="$BUILD_DIR-perfbench-asan"
+SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
+cmake -B "$PERFBENCH_SAN_DIR" -S perfbench -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build "$PERFBENCH_SAN_DIR" -j "$JOBS"
+"$PERFBENCH_SAN_DIR/perfbench" --workload hostile_batched --seed 2 \
+  --seconds 1 --trace 1 > "$PERFBENCH_SAN_DIR/hostile_batched.txt"
 
 echo "CI: SPLICER_AUDIT smoke subset (dynamic contract witnesses)"
 AUDIT_DIR="$BUILD_DIR-audit"

@@ -37,8 +37,8 @@ const std::vector<RuleInfo>& rule_table() {
        "no range-for/.begin() iteration over unordered containers unless "
        "annotated or rewritten over ordered/sorted containers"},
       {"std-function", "src/",
-       "common::SmallFunction instead of std::function; the documented "
-       "fallback variants are annotated in-source"},
+       "common::SmallFunction instead of std::function; the remaining "
+       "construction-time uses are annotated in-source"},
       {"slab-alias", "src/routing",
        "no retained reference into Engine slab state across a relocation "
        "point (send_tu/fail_payment); no send_tu from on_tu_forwarded"},

@@ -33,8 +33,8 @@
 //                    over an ordered/sorted container.
 //   std-function     std::function is banned in src/ (SBO-free type
 //                    erasure heap-allocates on the hot path); use
-//                    common::SmallFunction, or annotate the documented
-//                    fallback variants.
+//                    common::SmallFunction, or annotate the remaining
+//                    construction-time uses.
 //   slab-alias       a reference/pointer bound to Engine slab state
 //                    (find_payment_state / payment_state / state_or_orphan)
 //                    must not be used after a slab relocation point
