@@ -257,6 +257,16 @@ TraceSource::TraceSource(std::string path, std::vector<NodeId> clients,
   rewind();
 }
 
+namespace {
+/// True when the line's first field does not start with a number.
+[[nodiscard]] bool is_header_row(const std::string& line) {
+  const std::string time_field = line.substr(0, line.find(','));
+  char* end = nullptr;
+  (void)std::strtod(time_field.c_str(), &end);
+  return end == time_field.c_str();
+}
+}  // namespace
+
 bool TraceSource::parse_line(const std::string& line, Row& row) const {
   if (line.empty() || line[0] == '#') return false;
   // time,sender,receiver,amount
@@ -312,8 +322,13 @@ std::optional<Payment> TraceSource::next() {
   std::string line;
   Row row;
   while (std::getline(in_, line)) {
+    const bool content = !line.empty() && line[0] != '#';
+    const bool first_content = content && !seen_content_;
+    seen_content_ = seen_content_ || content;
     if (!parse_line(line, row)) {
-      if (!line.empty() && line[0] != '#') ++skipped_;
+      // A first content line with a non-numeric time field is the column
+      // header (`time,sender,receiver,amount`), not a malformed row.
+      if (content && !(first_content && is_header_row(line))) ++skipped_;
       continue;
     }
     const double t = row.time - time_base_;
@@ -358,6 +373,7 @@ void TraceSource::rewind() {
   last_arrival_ = 0.0;
   next_id_ = 1;
   skipped_ = 0;
+  seen_content_ = false;
 }
 
 void TraceSource::reset(std::uint64_t /*seed*/) { rewind(); }

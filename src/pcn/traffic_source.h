@@ -179,7 +179,8 @@ class TraceSource final : public TrafficSource {
   [[nodiscard]] double horizon_hint() const override { return horizon_; }
 
   /// Rows dropped so far (malformed, unmappable endpoint, self-pay with a
-  /// single client, or past the horizon clip).
+  /// single client, or past the horizon clip). Comments and the header
+  /// row are not counted.
   [[nodiscard]] std::size_t rows_skipped() const noexcept { return skipped_; }
 
  private:
@@ -208,6 +209,7 @@ class TraceSource final : public TrafficSource {
   double last_arrival_ = 0.0;
   PaymentId next_id_ = 1;
   std::size_t skipped_ = 0;
+  bool seen_content_ = false;  // a non-comment line has been read
 };
 
 /// Builds the source described by `config.kind` over `clients`. The RNG is

@@ -349,15 +349,19 @@ class Engine : private sim::EventSink {
 
   /// Arms a router timer `delay` seconds from now: fires back through
   /// Router::on_timer with (a, b) verbatim. A typed pooled event, so
-  /// per-TU-frequency timers (pacing drips) cost no allocation.
+  /// per-TU-frequency timers (pacing drips) cost no allocation. Scheduled
+  /// as at(now + delay), the same fire time after() gives, so the varying
+  /// pacing delays stay in the scheduler's heap instead of opening a FIFO
+  /// lane per distinct delay.
   sim::Scheduler::EventId schedule_timer(double delay, std::uint64_t a,
                                          std::uint64_t b = 0) {
-    return scheduler_.after(
-        delay, sim::EngineEvent{.kind = sim::EngineEvent::Kind::kRouterTimer,
-                                .channel = 0,
-                                .aux = 0,
-                                .a = a,
-                                .b = b});
+    return scheduler_.at(
+        scheduler_.now() + delay,
+        sim::EngineEvent{.kind = sim::EngineEvent::Kind::kRouterTimer,
+                         .channel = 0,
+                         .aux = 0,
+                         .a = a,
+                         .b = b});
   }
 
   /// Grace period past the workload horizon during which recurring router

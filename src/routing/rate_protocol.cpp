@@ -76,9 +76,9 @@ void RateRouterBase::on_timer(Engine& engine, std::uint64_t a, std::uint64_t b) 
     admit_demand(engine, state->payment);
     return;
   }
-  const PairKey pair = unpack_pair(a);
-  pair_state(pair).paths[b].drip_scheduled = false;
-  try_send(engine, pair, b);
+  auto& ps = pair_state(unpack_pair(a));
+  ps.paths[b].drip_scheduled = false;
+  try_send(engine, ps, b);
 }
 
 void RateRouterBase::admit_demand(Engine& engine, const pcn::Payment& payment) {
@@ -96,7 +96,7 @@ void RateRouterBase::admit_demand(Engine& engine, const pcn::Payment& payment) {
   wake_pair(*ps);  // new demand: the pair can no longer sit out probe sweeps
   ps->demands.push_back(DemandEntry{payment.id, payment.value});
   for (std::size_t i = 0; i < ps->paths.size(); ++i) {
-    schedule_drip(engine, pair, i);
+    schedule_drip(engine, *ps, i);
   }
 }
 
@@ -390,7 +390,7 @@ void RateRouterBase::probe_one_pair(Engine& engine, const PairKey& pair,
     }
     path.rate_tps = next_rate;
     if (!state.demands.empty()) {
-      schedule_drip(engine, pair, static_cast<std::size_t>(&path - state.paths.data()));
+      schedule_drip(engine, state, static_cast<std::size_t>(&path - state.paths.data()));
     }
   }
   if (!sleepable) return;
@@ -561,9 +561,8 @@ const std::vector<Amount>& RateRouterBase::fee_schedule(
   return amounts;
 }
 
-void RateRouterBase::schedule_drip(Engine& engine, const PairKey& pair,
+void RateRouterBase::schedule_drip(Engine& engine, PairState& state,
                                    std::size_t path_index) {
-  auto& state = pair_state(pair);
   auto& path = state.paths[path_index];
   if (path.drip_scheduled) return;
   if (engine.past_horizon()) return;
@@ -572,16 +571,15 @@ void RateRouterBase::schedule_drip(Engine& engine, const PairKey& pair,
       std::max(0.0, path.earliest_send(config_.min_rate_tps) - engine.now());
   // Typed drip timer (one per TU send on the hot path): POD fields in the
   // scheduler pool instead of a heap-allocated closure per drip.
-  engine.schedule_timer(delay, pack_pair(pair), path_index);
+  engine.schedule_timer(delay, pack_pair(state.key), path_index);
 }
 
-void RateRouterBase::try_send(Engine& engine, const PairKey& pair,
+void RateRouterBase::try_send(Engine& engine, PairState& state,
                               std::size_t path_index) {
-  auto& state = pair_state(pair);
   auto& path = state.paths[path_index];
   if (engine.past_horizon()) return;
   if (engine.now() + 1e-12 < path.earliest_send(config_.min_rate_tps)) {
-    schedule_drip(engine, pair, path_index);  // pacing not yet satisfied
+    schedule_drip(engine, state, path_index);  // pacing not yet satisfied
     return;
   }
   if (path.outstanding >= static_cast<std::size_t>(
@@ -611,7 +609,7 @@ void RateRouterBase::try_send(Engine& engine, const PairKey& pair,
   if (path_obstruction(engine.network(), path.full_path,
                        engine.config().hostile.timelock_budget)) {
     path.hold_until = std::max(path.hold_until, engine.now() + 0.05);
-    schedule_drip(engine, pair, path_index);
+    schedule_drip(engine, state, path_index);
     return;
   }
   auto& entry = state.demands.front();
@@ -633,7 +631,7 @@ void RateRouterBase::try_send(Engine& engine, const PairKey& pair,
     // Downstream funds are short (F_ab < |d_i|): hold at the source and
     // retry shortly instead of locking a doomed HTLC chain.
     path.hold_until = std::max(path.hold_until, engine.now() + 0.05);
-    schedule_drip(engine, pair, path_index);
+    schedule_drip(engine, state, path_index);
     return;
   }
 
@@ -650,7 +648,7 @@ void RateRouterBase::try_send(Engine& engine, const PairKey& pair,
 
   path.last_send = engine.now();
   path.last_tu_tokens = common::to_tokens(tu_value);
-  schedule_drip(engine, pair, path_index);
+  schedule_drip(engine, state, path_index);
 }
 
 void RateRouterBase::on_tu_delivered(Engine& engine, const TransactionUnit& tu) {
@@ -664,15 +662,14 @@ void RateRouterBase::on_tu_delivered(Engine& engine, const TransactionUnit& tu) 
   for (const auto& p : state.paths) window_sum += p.window;
   path.window = std::clamp(path.window + config_.gamma / std::max(window_sum, 1e-9),
                            config_.min_window, config_.max_window);
-  schedule_drip(engine, it->second, tu.path_index);
+  schedule_drip(engine, state, tu.path_index);
 }
 
 void RateRouterBase::on_tu_failed(Engine& engine, const TransactionUnit& tu,
                                   FailReason reason) {
   const auto it = pair_of_payment_.find(tu.payment);
   if (it == pair_of_payment_.end()) return;
-  const PairKey pair = it->second;
-  auto& state = pair_state(pair);
+  auto& state = pair_state(it->second);
   auto& path = state.paths[tu.path_index];
   if (path.outstanding > 0) --path.outstanding;
   if (reason == FailReason::kMarkedCongested ||
@@ -689,7 +686,7 @@ void RateRouterBase::on_tu_failed(Engine& engine, const TransactionUnit& tu,
     state.demands.push_front(DemandEntry{tu.payment, tu.value});
   }
   for (std::size_t i = 0; i < state.paths.size(); ++i) {
-    schedule_drip(engine, pair, i);
+    schedule_drip(engine, state, i);
   }
 }
 

@@ -305,8 +305,10 @@ class RateRouterBase : public Router {
   /// factor price_decay per tick; 0 when no safe margin exists.
   [[nodiscard]] std::uint64_t decay_ticks_until_unpin(double price,
                                                       double total_rate) const;
-  void schedule_drip(Engine& engine, const PairKey& pair, std::size_t path_index);
-  void try_send(Engine& engine, const PairKey& pair, std::size_t path_index);
+  /// Arms the path's pacing drip unless one is pending. Takes the pair the
+  /// caller already holds; the timer payload is `state.key`.
+  void schedule_drip(Engine& engine, PairState& state, std::size_t path_index);
+  void try_send(Engine& engine, PairState& state, std::size_t path_index);
   [[nodiscard]] double total_pair_rate(const PairState& pair) const;
   /// Per-hop amounts (eq. 24) for a TU of `value` on `path`, filled into
   /// fee_scratch_ — valid until the next fee_schedule call. Rejected admits

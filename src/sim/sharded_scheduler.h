@@ -2,15 +2,15 @@
 
 // Barrier-synchronous facade over N per-shard Schedulers.
 //
-// Each shard owns a full Scheduler (typed event pool + 4-ary heap) and runs
-// lock-free within a barrier window; shards communicate only through
-// per-(source, destination) mailbox lanes that are drained while every
-// shard is parked at the barrier. That single-writer/drain-at-barrier
-// discipline is the whole concurrency story: during a parallel phase, lane
-// (s, d) is appended to exclusively by the worker running shard s, and the
-// coordinator thread reads it only after the pool's wait() (whose mutex
-// hand-off establishes the happens-before edge). No atomics, no locks on
-// the simulation hot path — and, crucially, the simulation outcome is a
+// Each shard owns a full Scheduler (typed event pool, FIFO delay lanes and a
+// 4-ary heap) and runs lock-free within a barrier window; shards communicate
+// only through per-(source, destination) mailbox lanes that are drained
+// while every shard is parked at the barrier. That single-writer/drain-at-
+// barrier discipline is the whole concurrency story: during a parallel
+// phase, lane (s, d) is appended to exclusively by the worker running shard
+// s, and the coordinator thread reads it only after the pool's wait() (whose
+// mutex hand-off establishes the happens-before edge). No atomics, no locks
+// on the simulation hot path — and, crucially, the simulation outcome is a
 // pure function of the event streams, never of thread interleaving:
 //
 //   * Within a window a shard sees only its own scheduler, so its event

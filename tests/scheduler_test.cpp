@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <iterator>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -346,6 +351,188 @@ TEST(Scheduler, PoolStressReusesSlotsConsistently) {
   s.run();
   EXPECT_EQ(rec.events.size() + cancelled, 200u * 50u);
   EXPECT_TRUE(s.empty());
+}
+
+// ---- Reference model -------------------------------------------------------
+
+/// The queue's specification: a std::set ordered by (when, seq), with the
+/// scheduler's clamping and sequence numbering. Every operation the
+/// scheduler supports has a one-line counterpart here.
+class ReferenceQueue {
+ public:
+  std::uint64_t schedule(Time when, std::uint64_t tag) {
+    when = when < now_ ? now_ : when;
+    const std::uint64_t seq = next_seq_++;
+    queue_.emplace(when, seq);
+    entries_[seq] = {when, tag};
+    return seq;
+  }
+  bool cancel(std::uint64_t seq) {
+    const auto it = entries_.find(seq);
+    if (it == entries_.end()) return false;
+    queue_.erase({it->second.first, seq});
+    entries_.erase(it);
+    return true;
+  }
+  /// Pops the earliest event: sets now and returns its tag.
+  std::uint64_t pop() {
+    const auto [when, seq] = *queue_.begin();
+    queue_.erase(queue_.begin());
+    now_ = when;
+    const std::uint64_t tag = entries_.at(seq).second;
+    entries_.erase(seq);
+    return tag;
+  }
+  [[nodiscard]] bool empty() const { return queue_.empty(); }
+  [[nodiscard]] std::size_t pending() const { return queue_.size(); }
+  [[nodiscard]] Time next_event_time() const {
+    return queue_.empty() ? Scheduler::kForever : queue_.begin()->first;
+  }
+  [[nodiscard]] Time now() const { return now_; }
+
+ private:
+  Time now_ = 0.0;
+  std::uint64_t next_seq_ = 1;
+  std::set<std::pair<Time, std::uint64_t>> queue_;
+  std::map<std::uint64_t, std::pair<Time, std::uint64_t>> entries_;  // seq -> (when, tag)
+};
+
+TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
+  // Fixed delays (one FIFO lane each, including walk-back style sums and a
+  // zero delay for same-instant ties), negative delays (clamped), random
+  // delays (one lane each until the lane cap, then the heap) and absolute
+  // times (the heap), interleaved with cancels and partial drains. After
+  // every operation the scheduler must agree with the std::set model on
+  // the events fired, now(), pending(), empty() and next_event_time().
+  constexpr double kHop = 0.01;
+  const std::vector<double> fixed_delays = {kHop, kHop + kHop, kHop + kHop + kHop,
+                                            0.0, 0.25};
+  constexpr std::uint64_t kChildTag = std::uint64_t{1} << 40;
+  // Delay group of an event: an index into fixed_delays, or kOther.
+  constexpr std::size_t kOther = ~std::size_t{0};
+  enum class State { kLive, kFired, kCancelled };
+  struct Record {
+    Scheduler::EventId id = 0;
+    std::uint64_t seq = 0;
+    std::size_t group = kOther;
+    State state = State::kLive;
+  };
+  std::map<std::uint64_t, Record> records;  // by tag
+
+  Scheduler s;
+  Recorder rec(s);
+  ReferenceQueue ref;
+  std::vector<std::uint64_t> ref_tags;
+  // Every fifth top-level event schedules a child one hop later from
+  // inside its handler, on both sides, so lanes also fill mid-run.
+  const auto reacts = [&](std::uint64_t tag) { return tag < kChildTag && tag % 5 == 0; };
+  rec.react = [&](std::uint64_t tag) {
+    if (reacts(tag)) records[tag + kChildTag].id = s.after(kHop, tagged(tag + kChildTag));
+  };
+  const auto ref_pop = [&] {
+    const std::uint64_t tag = ref.pop();
+    ref_tags.push_back(tag);
+    if (reacts(tag)) {
+      Record& child = records[tag + kChildTag];
+      child.seq = ref.schedule(ref.now() + kHop, tag + kChildTag);
+      child.group = 0;
+    }
+  };
+  const auto ref_run = [&](Time until, std::size_t max_events) {
+    std::size_t executed = 0;
+    while (executed < max_events && !ref.empty() &&
+           ref.next_event_time() <= until) {
+      ref_pop();
+      ++executed;
+    }
+    return executed;
+  };
+  const auto live_in_group = [&](std::size_t group) {
+    std::vector<std::uint64_t> tags;  // ascending seq = lane order
+    for (const auto& [tag, r] : records) {
+      if (r.state == State::kLive && r.group == group) tags.push_back(tag);
+    }
+    std::sort(tags.begin(), tags.end(), [&](std::uint64_t a, std::uint64_t b) {
+      return records[a].seq < records[b].seq;
+    });
+    return tags;
+  };
+  const auto cancel_both = [&](std::uint64_t tag) {
+    Record& r = records.at(tag);
+    const bool expected = r.state == State::kLive;
+    EXPECT_EQ(s.cancel(r.id), expected) << "tag " << tag;
+    EXPECT_EQ(ref.cancel(r.seq), expected) << "tag " << tag;
+    if (expected) r.state = State::kCancelled;
+  };
+
+  common::Rng rng(2024);
+  std::uint64_t next_tag = 1;
+  std::size_t fired_checked = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const double roll = rng.uniform01();
+    if (roll < 0.30) {  // after() with a fixed delay
+      const std::size_t group = rng.index(fixed_delays.size());
+      const std::uint64_t tag = next_tag++;
+      Record& r = records[tag];
+      r.group = group;
+      r.id = s.after(fixed_delays[group], tagged(tag));
+      r.seq = ref.schedule(ref.now() + fixed_delays[group], tag);
+    } else if (roll < 0.38) {  // after() with a random or negative delay
+      const double delay = rng.bernoulli(0.2) ? -rng.uniform(0.0, 1.0)
+                                              : rng.uniform(0.0, 1.0);
+      const std::uint64_t tag = next_tag++;
+      Record& r = records[tag];
+      r.id = s.after(delay, tagged(tag));
+      r.seq = ref.schedule(ref.now() + delay, tag);
+    } else if (roll < 0.48) {  // at(): past, present, future, or tied
+      // with the lane events an after() of a fixed delay would create
+      const double when =
+          rng.bernoulli(0.5)
+              ? ref.now() + rng.uniform(-0.5, 1.0)
+              : ref.now() + fixed_delays[rng.index(fixed_delays.size())];
+      const std::uint64_t tag = next_tag++;
+      Record& r = records[tag];
+      r.id = s.at(when, tagged(tag));
+      r.seq = ref.schedule(when, tag);
+    } else if (roll < 0.54) {  // cancel a lane head or a mid-lane event
+      const auto lane = live_in_group(rng.index(fixed_delays.size()));
+      if (!lane.empty()) {
+        cancel_both(rng.bernoulli(0.5) ? lane.front() : lane[lane.size() / 2]);
+      }
+    } else if (roll < 0.58) {  // cancel any known id: live, fired or stale
+      if (!records.empty()) {
+        auto it = records.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(rng.index(records.size())));
+        cancel_both(it->first);
+      }
+    } else if (roll < 0.59) {  // an id that was never issued
+      EXPECT_FALSE(s.cancel((std::uint64_t{7} << 32) | 0xfffffu));
+    } else if (roll < 0.75) {
+      EXPECT_EQ(s.step(), !ref.empty());
+      if (!ref.empty()) ref_pop();
+    } else if (roll < 0.90) {
+      const Time until = ref.now() + rng.uniform(0.0, 0.1);
+      EXPECT_EQ(s.run(until), ref_run(until, Scheduler::kUnlimited));
+    } else {
+      const std::size_t max_events = rng.index(8);
+      EXPECT_EQ(s.run(Scheduler::kForever, max_events),
+                ref_run(Scheduler::kForever, max_events));
+    }
+    // Fired events: same tags in the same order on both sides.
+    ASSERT_EQ(rec.tags.size(), ref_tags.size()) << "op " << op;
+    for (; fired_checked < ref_tags.size(); ++fired_checked) {
+      ASSERT_EQ(rec.tags[fired_checked], ref_tags[fired_checked]) << "op " << op;
+      records.at(ref_tags[fired_checked]).state = State::kFired;
+    }
+    ASSERT_EQ(s.now(), ref.now()) << "op " << op;
+    ASSERT_EQ(s.pending(), ref.pending()) << "op " << op;
+    ASSERT_EQ(s.empty(), ref.empty()) << "op " << op;
+    ASSERT_EQ(s.next_event_time(), ref.next_event_time()) << "op " << op;
+  }
+  EXPECT_EQ(s.run(), ref_run(Scheduler::kForever, Scheduler::kUnlimited));
+  EXPECT_EQ(rec.tags, ref_tags);
+  EXPECT_TRUE(s.empty());
+  EXPECT_GT(rec.tags.size(), 5000u);
 }
 
 }  // namespace

@@ -351,6 +351,30 @@ TEST(TraceSource, MalformedRowsAreSkippedNotFatal) {
   EXPECT_EQ(source.rows_skipped(), 10u);
 }
 
+TEST(TraceSource, HeaderRowIsNotCountedAsSkipped) {
+  const std::string rows =
+      "0.0,a,b,5\n"
+      "1.0,a,b\n"  // one malformed row
+      "2.0,b,a,5\n";
+  WorkloadConfig config;
+  config.kind = WorkloadKind::kTrace;
+  TempTrace headed("# comment before the header\n"
+                   "time,sender,receiver,amount\n" + rows);
+  config.trace_file = headed.path();
+  TraceSource with_header(headed.path(), make_clients(4), config);
+  EXPECT_EQ(drain(with_header).size(), 2u);
+  EXPECT_EQ(with_header.rows_skipped(), 1u);
+  with_header.reset(0);  // a replay counts the same again
+  EXPECT_EQ(drain(with_header).size(), 2u);
+  EXPECT_EQ(with_header.rows_skipped(), 1u);
+
+  TempTrace headerless(rows);
+  config.trace_file = headerless.path();
+  TraceSource without_header(headerless.path(), make_clients(4), config);
+  EXPECT_EQ(drain(without_header).size(), 2u);
+  EXPECT_EQ(without_header.rows_skipped(), 1u);
+}
+
 // ---- Factory / VectorSource ----------------------------------------------
 
 TEST(MakeTrafficSource, BuildsEveryKindAndValidates) {

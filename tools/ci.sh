@@ -34,9 +34,12 @@
 # tracing decorators.
 #
 # A SPLICER_AUDIT=ON build then runs the smoke-label suites with the
-# dynamic contract witnesses compiled in (scheduler heap-order invariant,
-# single-writer thread-id asserts on the mailbox lanes) — the runtime
-# backstop for what splicer_lint can only approximate statically.
+# dynamic contract witnesses compiled in (scheduler queue-order invariant
+# over the 4-ary heap and the FIFO delay lanes, single-writer thread-id
+# asserts on the mailbox lanes) — the runtime backstop for what
+# splicer_lint can only approximate statically — plus one per-hop,
+# all-scheme Fig. 7-sized splicer_cli compare, so the scheduler witness
+# sees a full event mix rather than unit-sized suites.
 #
 # Hostile-world gates (fault injection / channel churn / policy mutators):
 #   * the robustness bench runs its fast sweep — it exits nonzero itself if
@@ -218,6 +221,10 @@ cmake --build "$AUDIT_DIR" -j "$JOBS"
 ctest --test-dir "$AUDIT_DIR" -L smoke --output-on-failure -j "$JOBS"
 echo "CI: churn-storm stress under SPLICER_AUDIT (dynamic witnesses on)"
 "$AUDIT_DIR/robustness_test" --gtest_filter='DeadlockUnderChurn.*'
+echo "CI: Fig. 7-sized per-hop compare under SPLICER_AUDIT (scheduler witness)"
+"$AUDIT_DIR/splicer_cli" compare --nodes 100 --payments 1500 \
+  --settlement-epoch 0 > "$AUDIT_DIR/compare_fig7.txt"
+grep -q "ShortestPath" "$AUDIT_DIR/compare_fig7.txt"
 
 echo "CI: ThreadSanitizer sharded-engine smoke"
 TSAN_DIR="$BUILD_DIR-tsan"
